@@ -46,7 +46,7 @@ type bucketPlan struct {
 }
 
 // build draws a fresh plan against the index's current weights.
-func (pl *bucketPlan) build(ix *batchIndex, rng *RNG) {
+func (pl *bucketPlan) build(ix *ClassIndex, rng *RNG) {
 	pl.cells = pl.cells[:0]
 	pl.weights = pl.weights[:0]
 	for a := 0; a < ix.q; a++ {
@@ -110,50 +110,37 @@ func (pl *bucketPlan) drawCellExcluding(rng *RNG, skip int) int32 {
 }
 
 // runBatch is the batch engine. In its pure form it runs batchLoop
-// over a batchIndex: geometric skips between landings as the sparse
-// engine, but consecutive landings inside a census-frozen stretch are
-// allocated to class sub-buckets by one multivariate draw instead of
-// per-landing index walks, deterministic-swap landings run a
-// specialized kernel, and the index maintenance itself is leaner (see
-// batchIndex).
+// over the census index: geometric skips between landings as the
+// sparse engine, but consecutive landings inside a census-frozen
+// stretch are allocated to class sub-buckets by one multivariate draw
+// instead of per-landing index walks, and deterministic-swap landings
+// run a specialized kernel.
 //
 // Two conditions switch the whole run to exact per-landing stepping —
-// literally runIndexed over a ClassIndex, bit-identical to
-// EngineSparse: an attached EventSink, Observer, or fault Injector
-// (those consumers observe individual landings, which the pure path
-// does not reproduce draw-for-draw), and a protocol with no
-// census-preserving outcome (Protocol.Batchable — such runs could
-// never hold a plan, so the exact path costs nothing and keeps every
-// census-changing transition bit-identical to the sparse engine).
-// Result.Engine still reports EngineBatch and
-// Metrics.ExactFallbackLandings counts every landing as exact-stepped.
-// A restricted topology routes to the exact path too: the pure batch
-// plan allocates landings to class sub-buckets by whole-class pair
-// counts, which a permitted-pair restriction reshapes per class — the
-// exact path stays bit-identical to EngineSparse under any topology.
+// literally the sparse engine, bit-identical to EngineSparse: an
+// attached EventSink, Observer, or fault Injector (those consumers
+// observe individual landings, which the pure path does not reproduce
+// draw-for-draw), and a protocol with no census-preserving outcome
+// (Protocol.Batchable — such runs could never hold a plan, so the
+// exact path costs nothing and keeps every census-changing transition
+// bit-identical to the sparse engine). Result.Engine still reports
+// EngineBatch and Metrics.ExactFallbackLandings counts every landing
+// as exact-stepped. A restricted topology routes to the exact path
+// too: the pure batch plan allocates landings to class sub-buckets by
+// whole-class pair counts, which a permitted-pair restriction reshapes
+// per class — the exact path stays bit-identical to EngineSparse under
+// any topology.
 func runBatch(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
-	exact := opts.Events != nil || opts.Observer != nil || opts.Injector != nil || opts.Topology != nil || !p.Batchable()
-	if exact {
-		var ix *ClassIndex
-		if ws := opts.Workspace; ws != nil {
-			ix = ws.classIndex(cfg)
-		} else {
-			ix = NewClassIndex(cfg)
-		}
-		res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, ix, EngineBatch)
-		res.Metrics.IndexBuilds = 1
+	if opts.Events != nil || opts.Observer != nil || opts.Injector != nil || opts.Topology != nil || !p.Batchable() {
+		res, err := runSparse(p, cfg, det, opts, maxSteps, interval, rng)
+		res.Engine = EngineBatch
 		res.Metrics.ExactFallbackLandings = res.Metrics.Landings
 		return res, err
 	}
-	var ix *batchIndex
-	if ws := opts.Workspace; ws != nil {
-		ix = ws.batchIndex(cfg)
-	} else {
-		ix = newBatchIndex(cfg)
-	}
+	ix := opts.Workspace.classIndex(cfg)
 	res := batchLoop(p, cfg, det, opts, maxSteps, interval, rng, ix)
 	res.Metrics.IndexBuilds = 1
-	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.rejections, ix.fallbacks
+	res.Metrics.SampleRejections, res.Metrics.SampleFallbacks = ix.sampleStats()
 	return res, nil
 }
 
@@ -178,7 +165,7 @@ func runBatch(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, in
 // EngineSparse; runs that need one are routed to the exact path by
 // runBatch. What it promises is the exact law: every draw is an
 // exact-distribution transformation of the uniform-scheduler process.
-func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix *batchIndex) Result {
+func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG, ix *ClassIndex) Result {
 	n := cfg.n
 	res := Result{Final: cfg, Engine: EngineBatch}
 	total := float64(n) * float64(n-1) / 2
@@ -216,7 +203,7 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 	//     walker (two listed edges sharing a degree-2 endpoint): the
 	//     whole run resolves into one displacement draw (the run is an
 	//     unconstrained ±1 walk while it stays on the safe segment —
-	//     batchIndex.walkChunk), one negative-binomial draw for the
+	//     ClassIndex.walkChunk), one negative-binomial draw for the
 	//     scheduler gaps between its landings, and one teleport;
 	//   - the run kernel, otherwise (many walkers sharing the cell):
 	//     the run's landings are simulated individually — same draws,
@@ -573,4 +560,240 @@ func batchLoop(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, i
 	}
 	res.Steps = maxSteps
 	return res
+}
+
+// ---------------------------------------------------------------------
+// Swap-run collapse support (see batchLoop's collapse block in
+// batch.go). A deterministic-swap class whose edge list holds exactly
+// two edges sharing an endpoint is a single walker on a line (or
+// cycle): the shared endpoint carries the walker state ws, its two
+// neighbours carry the partner state bs, and every landing on the
+// class moves the walker one position left or right with equal
+// probability. While the walker stays on a segment of nodes that all
+// have state bs and degree 2, no landing can change any class weight —
+// the census is frozen by construction, not just by observation — so k
+// consecutive landings form an unconstrained ±1 random walk and their
+// net displacement is one WalkDisplacement draw. walkPath caches that
+// segment so consecutive collapses against the same census pay one
+// adjacency scan, amortized O(1) per collapsed landing.
+
+// walkPath is the cached safe segment around a single walker, in path
+// coordinates: position 0 is the anchor node the path was scanned
+// from, negative positions extend through the first scan direction
+// (left), positive through the second (right).
+type walkPath struct {
+	left   []int32 // nodes at positions −1, −2, …
+	right  []int32 // nodes at positions +1, +2, …
+	anchor int32   // node at position 0 (the walker at scan time)
+	pos    int64   // walker's current position
+	lo, hi int64   // occupiable range: a walk staying in [lo, hi] is unconstrained
+	openL  bool    // the left scan stopped at its cap, not at an unsafe node
+	openR  bool
+	cyclic bool  // the segment closes into an all-safe cycle
+	ring   int64 // cycle length when cyclic
+	ws, bs State // walker and partner state of the cached class
+	gen    uint64
+	cell   int32
+	valid  bool
+}
+
+// node maps a path position to its node id. On a cycle the positions
+// wrap (ring = cycle length); the displacement law is symmetric, so
+// the direction convention is immaterial.
+func (wp *walkPath) node(p int64) int32 {
+	if wp.cyclic {
+		m := p % wp.ring
+		if m < 0 {
+			m += wp.ring
+		}
+		if m == 0 {
+			return wp.anchor
+		}
+		return wp.left[m-1]
+	}
+	switch {
+	case p == 0:
+		return wp.anchor
+	case p < 0:
+		return wp.left[-p-1]
+	default:
+		return wp.right[p-1]
+	}
+}
+
+// scanDir walks the line away from anchor starting at first, appending
+// safe nodes (state bs, degree 2) until an unsafe node or the cap.
+// ext is the furthest position the walker may occupy in this
+// direction: occupying position k needs positions 1…k safe and the
+// node at k+1 present with state bs (it becomes the walker's other
+// listed edge). open reports a cap stop — the segment continues but
+// was not scanned. wrapped reports the scan returning to the anchor:
+// an all-safe cycle.
+func (ci *ClassIndex) scanDir(buf []int32, anchor, first int32, bs State, cap int64) (nodes []int32, ext int64, open, wrapped bool) {
+	nodes = buf
+	sp := ci.sp
+	cfg := ci.cfg
+	prev, cur := anchor, first
+	for {
+		if cur == anchor {
+			return nodes, int64(len(nodes)), false, true
+		}
+		if cfg.nodes[cur] != bs {
+			// cur cannot even serve as the lookahead neighbour of an
+			// occupied position.
+			return nodes, int64(len(nodes)) - 1, false, false
+		}
+		row := sp.adj[cur]
+		if len(row) != 2 {
+			// cur is a valid lookahead (state bs) but not occupiable:
+			// moving onto it would reclassify its extra or missing
+			// edges.
+			return nodes, int64(len(nodes)), false, false
+		}
+		if int64(len(nodes)) >= cap {
+			// Cap stop: the last appended node needs cur as lookahead,
+			// so the extent is one short of the scan.
+			return nodes, int64(len(nodes)) - 1, true, false
+		}
+		nodes = append(nodes, cur)
+		nxt := row[0]
+		if nxt == prev {
+			nxt = row[1]
+		}
+		prev, cur = cur, nxt
+	}
+}
+
+// buildWalkPath scans a fresh walkPath for swap class id, centred on
+// the single walker the class currently hosts. It returns false when
+// the class does not host exactly one interior walker (two listed
+// edges sharing a degree-2 endpoint) — multi-walker stretches fall
+// back to per-landing kernels.
+func (ci *ClassIndex) buildWalkPath(id int, need int64) bool {
+	wp := &ci.wpath
+	wp.valid = false
+	sp := ci.sp
+	if sp == nil {
+		return false
+	}
+	list := ci.edgeList[id]
+	if len(list) != 2 {
+		return false
+	}
+	a0, b0 := int32(list[0]>>32), int32(list[0]&0xffffffff)
+	a1, b1 := int32(list[1]>>32), int32(list[1]&0xffffffff)
+	var c, n1, n2 int32
+	switch {
+	case a0 == a1:
+		c, n1, n2 = a0, b0, b1
+	case a0 == b1:
+		c, n1, n2 = a0, b0, a1
+	case b0 == a1:
+		c, n1, n2 = b0, a0, b1
+	case b0 == b1:
+		c, n1, n2 = b0, a0, a1
+	default:
+		return false // two separate walkers share the class
+	}
+	if len(sp.adj[c]) != 2 {
+		return false
+	}
+	ws := ci.cfg.nodes[c]
+	bs := State(id / ci.q)
+	if bs == ws {
+		bs = State(id % ci.q)
+	}
+	wp.anchor = c
+	wp.pos = 0
+	wp.ws, wp.bs = ws, bs
+	wp.cyclic, wp.ring = false, 0
+	scanCap := need + 1
+	var extL, extR int64
+	var wrapped bool
+	wp.left, extL, wp.openL, wrapped = ci.scanDir(wp.left[:0], c, n1, bs, scanCap)
+	if wrapped {
+		// The walker sits on an all-safe cycle: every position is
+		// occupiable and displacements wrap modulo the ring.
+		wp.cyclic = true
+		wp.ring = int64(len(wp.left)) + 1
+		wp.valid = true
+		return true
+	}
+	wp.right, extR, wp.openR, _ = ci.scanDir(wp.right[:0], c, n2, bs, scanCap)
+	wp.lo, wp.hi = -extL, extR
+	if wp.lo > 0 || wp.hi < 0 {
+		// A direction with extent −1 (the immediate neighbour is not
+		// even state bs) cannot happen for a listed swap edge, but keep
+		// the guard: an empty occupiable range means no collapse.
+		return false
+	}
+	wp.valid = true
+	return true
+}
+
+// walkChunk reports how many consecutive landings on swap cell can be
+// collapsed into one displacement draw right now: the distance from
+// the walker to the nearest unsafe position along its cached path,
+// bounded by need. Zero means the class does not currently host a
+// single interior walker. The cache is rebuilt when the census
+// generation moved, the cell changed, or a cap-stopped scan is the
+// binding constraint.
+func (ci *ClassIndex) walkChunk(cell int32, need int64) int64 {
+	wp := &ci.wpath
+	id := int(cell >> 1)
+	if !wp.valid || wp.gen != ci.gen || wp.cell != cell {
+		if !ci.buildWalkPath(id, need) {
+			return 0
+		}
+		wp.gen, wp.cell = ci.gen, cell
+	}
+	if wp.cyclic {
+		return need
+	}
+	avail := min(wp.pos-wp.lo, wp.hi-wp.pos)
+	if avail < need && (wp.openL || wp.openR) {
+		// The scan cap, not the topology, limits the chunk: rescan
+		// around the walker's current position with the bigger horizon.
+		if !ci.buildWalkPath(id, need) {
+			return 0
+		}
+		wp.gen, wp.cell = ci.gen, cell
+		if wp.cyclic {
+			return need
+		}
+		avail = min(wp.pos-wp.lo, wp.hi-wp.pos)
+	}
+	return min(avail, need)
+}
+
+// collapseMove commits a collapsed swap run's net displacement d: the
+// walker state teleports from its current path position to position
+// pos+d — a two-node state exchange plus index fixup, identical in
+// effect to |d| single swaps along the segment. Every class weight is
+// provably unchanged (the walker's two listed edges drop and two new
+// ones add in the same class; the traversed interior keeps state bs),
+// so gen stays put and any outstanding plan survives. d = 0 (or a
+// full wrap on a cycle) leaves the configuration untouched.
+func (ci *ClassIndex) collapseMove(d int64) {
+	wp := &ci.wpath
+	from := int(wp.node(wp.pos))
+	wp.pos += d
+	to := int(wp.node(wp.pos))
+	if from == to {
+		return
+	}
+	ws, bs := wp.ws, wp.bs
+	cfg := ci.cfg
+	cfg.nodes[from] = bs
+	cfg.nodes[to] = ws
+	ci.byState[ws][ci.slot[from]] = int32(to)
+	ci.byState[bs][ci.slot[to]] = int32(from)
+	ci.slot[from], ci.slot[to] = ci.slot[to], ci.slot[from]
+	ci.stamp++
+	// Mutual exclusion mirrors applySwap: when |d| = 1 the {from, to}
+	// edge's unordered class is unchanged and must not be touched; for
+	// larger jumps the exclusion never matches.
+	ci.reclassifyIncident(from, to, ws, bs)
+	ci.reclassifyIncident(to, from, bs, ws)
+	ci.flushDirty()
 }

@@ -42,32 +42,32 @@ func TestBatchIndexApplySwapFast(t *testing.T) {
 	p := batchProtocols(t)["walker"]
 	const n = 48
 	cfg := walkerPathConfig(t, p, n, n/2)
-	bi := newBatchIndex(cfg)
-	verifyBatchIndex(t, bi, cfg)
+	ci := NewClassIndex(cfg)
+	verifyClassIndex(t, ci, cfg)
 	rng := NewRNG(11)
 	fast, declined := 0, 0
 	for step := 0; step < 3000; step++ {
-		u, v := bi.Sample(rng)
+		u, v := ci.Sample(rng)
 		a, b := cfg.Node(u), cfg.Node(v)
-		if !cfg.Edge(u, v) || !bi.swapCell[bi.classID(a, b)] {
+		if !cfg.Edge(u, v) || !ci.swapCell[ci.classID(a, b)] {
 			t.Fatalf("step %d: sampled pair (%d,%d) is not a swap-cell edge", step, u, v)
 		}
-		before := snapshotWeights(bi)
-		genBefore := bi.gen
+		before := snapshotWeights(ci)
+		genBefore := ci.gen
 		cfg.nodes[u], cfg.nodes[v] = b, a
-		if bi.applySwapFast(u, v, a, b) {
+		if ci.applySwapFast(u, v, a, b) {
 			fast++
-			if bi.gen != genBefore {
+			if ci.gen != genBefore {
 				t.Fatalf("step %d: applySwapFast bumped gen", step)
 			}
-			if !weightsEqual(before, snapshotWeights(bi)) {
+			if !weightsEqual(before, snapshotWeights(ci)) {
 				t.Fatalf("step %d: applySwapFast moved a cached weight", step)
 			}
 		} else {
 			declined++
-			bi.applySwap(u, v, a, b)
+			ci.applySwap(u, v, a, b)
 		}
-		verifyBatchIndex(t, bi, cfg)
+		verifyClassIndex(t, ci, cfg)
 	}
 	if fast == 0 || declined == 0 {
 		t.Fatalf("walk exercised %d fast and %d declined swaps; want both > 0", fast, declined)
@@ -122,7 +122,7 @@ func TestBatchCollapseWalkLaw(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			cfg := walkerPathConfig(t, p, n, n/2)
 			rng := NewRNG(uint64(trial) + 1)
-			ix := newBatchIndex(cfg)
+			ix := NewClassIndex(cfg)
 			res := batchLoop(p, cfg, det, Options{}, maxSteps, 1, rng, ix)
 			m := res.Metrics
 			if m.Landings+m.SkippedSteps+m.CollapsedLandings != res.Steps {

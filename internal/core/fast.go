@@ -178,13 +178,7 @@ func runFast(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, int
 // O(1) expected sampling). It simulates the same law as runFast and
 // the baseline; only the data structure scaling differs.
 func runSparse(p *Protocol, cfg *Config, det Detector, opts Options, maxSteps, interval int64, rng *RNG) (Result, error) {
-	var ix *ClassIndex
-	if ws := opts.Workspace; ws != nil {
-		ix = ws.classIndex(cfg)
-	} else {
-		ix = NewClassIndex(cfg)
-	}
-	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, ix, EngineSparse)
+	res, err := runIndexed(p, cfg, det, opts, maxSteps, interval, rng, opts.Workspace.classIndex(cfg), EngineSparse)
 	// The class index rebuilds in place either way — a reset is a fresh
 	// O(n + m + |Q|²) build, never a snapshot restore.
 	res.Metrics.IndexBuilds = 1

@@ -2,7 +2,8 @@ package core
 
 // Workspace owns the reusable scratch state of repeated runs: the
 // configuration (node-state slice plus either edge store), the dense
-// PairIndex, the sparse ClassIndex, and the RNG. A campaign worker
+// PairIndex, the census ClassIndex (one slot shared by the sparse
+// engine and both batch-engine paths), and the RNG. A campaign worker
 // keeps one workspace for its whole job stream and passes it through
 // Options.Workspace; every trial after the first then runs without
 // per-trial allocation — the backing arrays are reset in place instead
@@ -24,11 +25,10 @@ package core
 //
 // A Workspace is not safe for concurrent use: one per goroutine.
 type Workspace struct {
-	cfg   *Config
-	pair  *PairIndex
-	class *ClassIndex
-	batch *batchIndex
-	rng   *RNG
+	cfg    *Config
+	pair   *PairIndex
+	census *ClassIndex
+	rng    *RNG
 
 	// resets counts the in-place component reuses (configuration
 	// reset/copy, RNG reseed, index reset or snapshot restore) performed
@@ -126,28 +126,20 @@ func (ws *Workspace) pairIndex(cfg *Config, defaultStart bool) (*PairIndex, bool
 	return ws.pair, false
 }
 
-// classIndex returns the workspace's sparse state-class index rebound
-// to cfg. The rebuild is O(n + m + |Q|²) either way, so no snapshot is
-// kept — resetting is already cheap relative to any run.
+// classIndex returns the census index for a run on cfg: the
+// workspace's, rebound to cfg by an in-place O(n + m + |Q|²) rebuild
+// (no snapshot — resetting is already cheap relative to any run), or a
+// fresh one when ws is nil. The sparse engine and both batch-engine
+// paths share it.
 func (ws *Workspace) classIndex(cfg *Config) *ClassIndex {
-	if ws.class == nil {
-		ws.class = NewClassIndex(cfg)
-	} else {
+	switch {
+	case ws == nil:
+		return NewClassIndex(cfg)
+	case ws.census == nil:
+		ws.census = NewClassIndex(cfg)
+	default:
 		ws.resets++
-		ws.class.reset(cfg)
+		ws.census.reset(cfg)
 	}
-	return ws.class
-}
-
-// batchIndex returns the workspace's batch-engine census index rebound
-// to cfg — the batch counterpart of classIndex, same O(n + m + |Q|²)
-// in-place rebuild, no snapshot.
-func (ws *Workspace) batchIndex(cfg *Config) *batchIndex {
-	if ws.batch == nil {
-		ws.batch = newBatchIndex(cfg)
-	} else {
-		ws.resets++
-		ws.batch.reset(cfg)
-	}
-	return ws.batch
+	return ws.census
 }
