@@ -448,9 +448,12 @@ type Outcome struct {
 	Elapsed time.Duration
 }
 
+// taggedRecord is a worker's result: the record, its global trial id,
+// and whether campaign cancellation cut it (see runTrial).
 type taggedRecord struct {
-	gid int
-	rec RunRecord
+	gid       int
+	rec       RunRecord
+	cancelled bool
 }
 
 // Execute runs every trial of every point on a worker pool and reduces
@@ -584,13 +587,12 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 				if runCtx.Err() != nil {
 					continue // drain without running
 				}
-				var rec RunRecord
+				tr := taggedRecord{gid: gid}
 				if p, t, err := locate(offsets, points, gid); err != nil {
-					rec = RunRecord{Point: -1, Err: err.Error()}
+					tr.rec = RunRecord{Point: -1, Err: err.Error()}
 				} else {
-					rec = runTrial(runCtx, &points[p], p, t, opts.Timeout, opts.Retry, &ws)
+					tr.rec, tr.cancelled = runTrial(runCtx, &points[p], p, t, opts.Timeout, opts.Retry, &ws)
 				}
-				tr := taggedRecord{gid: gid, rec: rec}
 				if progressOn {
 					doneTrials.Add(1)
 					busyNS.Add(tr.rec.DurationNS)
@@ -657,8 +659,9 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 	curShard := 0         // shard containing the next expected gid
 	var open *ShardResult // in-flight accumulation of shards[curShard]
 	var openAcc stats.Online
+	openCut := false // a record of the open shard was cut by cancellation
 	next := 0
-	pending := make(map[int]RunRecord, workers)
+	pending := make(map[int]taggedRecord, workers)
 
 	openShard := func() {
 		s := &shards[curShard]
@@ -676,6 +679,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			Runs: make([]RunRecord, 0, s.Trials),
 		}
 		openAcc = stats.Online{}
+		openCut = false
 	}
 	foldRec := func(rec RunRecord) {
 		agg := &open.Agg
@@ -740,7 +744,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 					continue
 				}
 			}
-			rec, ok := pending[next]
+			tr, ok := pending[next]
 			if !ok {
 				return
 			}
@@ -748,10 +752,15 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			if open == nil {
 				openShard()
 			}
-			foldRec(rec)
+			foldRec(tr.rec)
+			openCut = openCut || tr.cancelled
 			next++
 			if next == shardStart[curShard]+shards[curShard].Trials {
-				closeShard(true)
+				// A record cut by cancellation is not what an
+				// uninterrupted campaign folds: the shard counts toward
+				// the partial aggregates but is not checkpointed, so a
+				// resume reruns it.
+				closeShard(!openCut)
 			}
 		}
 	}
@@ -766,7 +775,7 @@ func Execute(ctx context.Context, points []Point, opts Options) (Outcome, error)
 			firstErrGid = tr.gid
 			cancel()
 		}
-		pending[tr.gid] = tr.rec
+		pending[tr.gid] = tr
 		advance()
 	}
 	if open != nil {

@@ -104,6 +104,72 @@ func TestResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumeCancelCutShardNotCheckpointed pins the cancellation half
+// of the checkpoint contract deterministically: with one worker, the
+// campaign is cancelled while the last trial of the second shard is
+// running, so that trial is cut by the cancellation (Stopped) and
+// folds as the shard's final record. The first shard must be
+// checkpointed as usual, the cut record must not complete the second,
+// and the resumed campaign must be bit-identical to an uninterrupted
+// one.
+func TestResumeCancelCutShardNotCheckpointed(t *testing.T) {
+	t.Parallel()
+	const shardTrials = 3
+	ref, err := Execute(context.Background(), resumePoints(core.EngineAuto, nil),
+		Options{Workers: 1, KeepRuns: true, ShardTrials: shardTrials})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The metric counts finished trials; the Stop hook (which never
+	// stops a run itself) cancels at trial 2·shardTrials−1's first
+	// poll, so its next poll cuts it. Neither hook enters the spec
+	// hash, so the checkpoint resumes under the plain points.
+	var finished atomic.Int64
+	points := resumePoints(core.EngineAuto, func(res core.Result, n int) float64 {
+		finished.Add(1)
+		return MetricConvergenceTime(res, n)
+	})
+	points[0].Stop = func() bool {
+		if finished.Load() == 2*shardTrials-1 {
+			cancel()
+		}
+		return false
+	}
+	var folded []RunRecord
+	opts := Options{Workers: 1, ShardTrials: shardTrials, Checkpoint: ckpt, CheckpointEvery: time.Nanosecond,
+		OnRun: func(rec RunRecord) { folded = append(folded, rec) }}
+	if _, err := Execute(ctx, points, opts); err != context.Canceled {
+		t.Fatalf("interrupted run: err = %v, want context.Canceled", err)
+	}
+	if len(folded) != 2*shardTrials || !folded[len(folded)-1].Stopped {
+		t.Fatalf("want two shards of records with the last one cut, got %+v", folded)
+	}
+	_, done, err := ReadCheckpoint(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held []int
+	for _, sr := range done {
+		held = append(held, sr.Index)
+	}
+	if !reflect.DeepEqual(held, []int{0}) {
+		t.Fatalf("checkpoint holds shards %v, want [0]: a cancellation-cut record completed a shard", held)
+	}
+
+	got, err := Execute(context.Background(), resumePoints(core.EngineAuto, nil),
+		Options{Workers: 1, KeepRuns: true, ShardTrials: shardTrials, Checkpoint: ckpt, Resume: true})
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !reflect.DeepEqual(got.Aggregates, ref.Aggregates) {
+		t.Fatalf("resumed aggregates diverge:\n%+v\nvs uninterrupted:\n%+v", got.Aggregates, ref.Aggregates)
+	}
+}
+
 // TestResumeSkipsCompletedShards pins the "restart skips finished
 // work" half of the contract: the resumed process must execute exactly
 // the trials missing from the checkpoint.

@@ -72,8 +72,12 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 // deterministically. wsp points at the calling worker's workspace
 // slot; a panicking attempt replaces the slot's workspace with a fresh
 // one (see runAttempt), so a poisoned workspace is never reused — by a
-// retry or by any later trial of the worker.
-func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, retry RetryPolicy, wsp **core.Workspace) RunRecord {
+// retry or by any later trial of the worker. cancelled reports that
+// campaign cancellation shaped the record — it cut the run, or it
+// foreclosed a retry an uninterrupted campaign would have made — so
+// the record differs from what an uninterrupted campaign would fold
+// and must not complete a checkpointed shard.
+func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, retry RetryPolicy, wsp **core.Workspace) (rec RunRecord, cancelled bool) {
 	var trialDeadline time.Time
 	if retry.Deadline > 0 {
 		trialDeadline = time.Now().Add(retry.Deadline)
@@ -81,7 +85,8 @@ func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.
 	maxAttempts := retry.attempts()
 	var prevPanic string
 	for attempt := 1; ; attempt++ {
-		rec, timedOut := runAttempt(ctx, pt, pointIdx, trial, timeout, wsp)
+		var timedOut bool
+		rec, timedOut, cancelled = runAttempt(ctx, pt, pointIdx, trial, timeout, wsp)
 		if attempt > 1 {
 			// Only retried records carry the attempt count, so
 			// steady-state records stay byte-identical with and without a
@@ -104,17 +109,20 @@ func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.
 			// hook) is terminal.
 			retryable = timedOut
 		}
-		if !retryable || attempt >= maxAttempts || ctx.Err() != nil {
-			return rec
+		if !retryable || attempt >= maxAttempts {
+			return rec, cancelled
+		}
+		if ctx.Err() != nil {
+			return rec, true
 		}
 		if !trialDeadline.IsZero() && !time.Now().Before(trialDeadline) {
-			return rec
+			return rec, false
 		}
 		t := time.NewTimer(retry.backoff(attempt - 1))
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return rec
+			return rec, true
 		case <-t.C:
 		}
 	}
@@ -123,8 +131,9 @@ func runTrial(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.
 // runAttempt executes a single attempt of one trial, recovering any
 // panic into a failed record. timedOut reports whether a Stopped
 // result was cut by the per-run timeout (retryable) rather than by
-// cancellation or a caller Stop hook (terminal).
-func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, wsp **core.Workspace) (rec RunRecord, timedOut bool) {
+// cancellation or a caller Stop hook (terminal); cancelled reports
+// that campaign cancellation cut the run.
+func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout time.Duration, wsp **core.Workspace) (rec RunRecord, timedOut, cancelled bool) {
 	rec = RunRecord{
 		Point:     pointIdx,
 		Protocol:  pt.Protocol,
@@ -156,6 +165,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 	stop := func() bool {
 		select {
 		case <-ctx.Done():
+			cancelled = true
 			return true
 		default:
 		}
@@ -170,7 +180,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 
 	if pt.DynProto != nil {
 		rec = runDynTrial(pt, rec, stop)
-		return rec, rec.Stopped && cutByTimeout()
+		return rec, rec.Stopped && cutByTimeout(), cancelled
 	}
 
 	var ws *core.Workspace
@@ -194,7 +204,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		initial, err := pt.Initial(trial)
 		if err != nil {
 			rec.Err = err.Error()
-			return rec, false
+			return rec, false, false
 		}
 		opts.Initial = initial
 	}
@@ -205,7 +215,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		topo, err := pt.Topology.Realize(pt.N, rec.Seed)
 		if err != nil {
 			rec.Err = err.Error()
-			return rec, false
+			return rec, false, false
 		}
 		opts.Topology = topo
 		rec.Topology = pt.Topology.Label()
@@ -230,7 +240,7 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 	}
 	if err != nil {
 		rec.Err = err.Error()
-		return rec, false
+		return rec, false, cancelled
 	}
 	rec.Engine = res.Engine.String()
 	rec.Converged = res.Converged
@@ -252,5 +262,5 @@ func runAttempt(ctx context.Context, pt *Point, pointIdx, trial int, timeout tim
 		metric = MetricConvergenceTime
 	}
 	rec.Value = metric(res, pt.N)
-	return rec, rec.Stopped && cutByTimeout()
+	return rec, rec.Stopped && cutByTimeout(), cancelled
 }

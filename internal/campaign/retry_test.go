@@ -59,7 +59,7 @@ func TestPanicReplacesWorkspace(t *testing.T) {
 
 	ws := core.NewWorkspace()
 	poisoned := ws
-	rec := runTrial(context.Background(), &pt, 0, 0, 0, RetryPolicy{}, &ws)
+	rec, _ := runTrial(context.Background(), &pt, 0, 0, 0, RetryPolicy{}, &ws)
 	if !rec.Panicked {
 		t.Fatalf("record %+v, want panicked", rec)
 	}
@@ -69,7 +69,7 @@ func TestPanicReplacesWorkspace(t *testing.T) {
 
 	pt.Metric = nil
 	kept := ws
-	rec = runTrial(context.Background(), &pt, 0, 1, 0, RetryPolicy{}, &ws)
+	rec, _ = runTrial(context.Background(), &pt, 0, 1, 0, RetryPolicy{}, &ws)
 	if !rec.Converged || rec.Err != "" {
 		t.Fatalf("healthy run on replaced workspace: %+v", rec)
 	}
@@ -129,7 +129,7 @@ func TestRetryDeterministicPanic(t *testing.T) {
 	pt := Point{Protocol: "cycle-cover", N: 12, Trials: 1, BaseSeed: 1,
 		Proto: cc.Proto, Detector: cc.Detector, Metric: panicMetric}
 	ws := core.NewWorkspace()
-	rec := runTrial(context.Background(), &pt, 0, 0, 0,
+	rec, _ := runTrial(context.Background(), &pt, 0, 0, 0,
 		RetryPolicy{MaxAttempts: 50, BaseBackoff: time.Microsecond}, &ws)
 	if !rec.Panicked || rec.Attempts != 2 {
 		t.Fatalf("record %+v, want the identical second panic terminal at 2 attempts", rec)
@@ -142,7 +142,7 @@ func TestRetryDeterministicPanic(t *testing.T) {
 		n++
 		panic(fmt.Sprintf("glitch %d", n))
 	}
-	rec = runTrial(context.Background(), &pt, 0, 0, 0,
+	rec, _ = runTrial(context.Background(), &pt, 0, 0, 0,
 		RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Microsecond}, &ws)
 	if !rec.Panicked || rec.Attempts != 3 {
 		t.Fatalf("record %+v, want 3 attempts", rec)
@@ -152,7 +152,7 @@ func TestRetryDeterministicPanic(t *testing.T) {
 	// policy.
 	pt.Metric = nil
 	pt.Initial = func(int) (*core.Config, error) { return nil, fmt.Errorf("bad input") }
-	rec = runTrial(context.Background(), &pt, 0, 0, 0,
+	rec, _ = runTrial(context.Background(), &pt, 0, 0, 0,
 		RetryPolicy{MaxAttempts: 50, BaseBackoff: time.Microsecond}, &ws)
 	if rec.Err != "bad input" || rec.Panicked || rec.Attempts != 0 {
 		t.Fatalf("record %+v, want a single-attempt plain error", rec)
@@ -172,7 +172,7 @@ func TestRetryDeadline(t *testing.T) {
 			panic(fmt.Sprintf("glitch %d", n))
 		}}
 	ws := core.NewWorkspace()
-	rec := runTrial(context.Background(), &pt, 0, 0, 0,
+	rec, _ := runTrial(context.Background(), &pt, 0, 0, 0,
 		RetryPolicy{MaxAttempts: 1000, BaseBackoff: 40 * time.Millisecond, Deadline: 60 * time.Millisecond}, &ws)
 	if !rec.Panicked {
 		t.Fatalf("record %+v", rec)
