@@ -42,9 +42,9 @@ const maxSparseNodes = 1 << 20
 //     mask is nonzero. Classes no rule ever touches are never
 //     reweighed, and keep no edge count;
 //   - edge lists are kept only for the classes the sampler can draw an
-//     edge from (effEdge). A per-node mirror holding (class, slot) for
-//     listed edges replaces an edge-slot hash map, so for protocols
-//     whose inert bulk holds most edges the mirror stays tiny;
+//     edge from (effEdge), with a per-node mirror holding (class, slot)
+//     of each listed edge for O(deg) removal. For protocols whose inert
+//     bulk holds most edges the lists and mirrors stay tiny;
 //   - reweighs are deferred and deduplicated per update (dirty list
 //     with a stamp array), so each affected class is recomputed once
 //     from final counts;
@@ -97,11 +97,15 @@ type ClassIndex struct {
 	// Permitted pairs by class, kept only under a restricted topology:
 	// pairCnt is P(q₁,q₂) restricted to permitted pairs; pairList holds
 	// topology pair ids for the classes with effNonEdge, and pairSlot
-	// each listed pair's position in its list.
+	// each listed pair's position in its list. adjPair parallels the
+	// topology's adjacency rows: adjPair[adjOff[u]+j] is the pair id of
+	// {u, topo.adj[u][j]}. All of it is scratch reused across resets.
 	topo     *Topology
 	pairCnt  []int64
 	pairList [][]int32
 	pairSlot []int32
+	adjPair  []int32
+	adjOff   []int32
 
 	// w and we cache each class's enabled / edge-enabled pair count per
 	// edge bit (index 2·id + edgeBit); enabled and edgeEnabled are
@@ -207,11 +211,7 @@ func (ci *ClassIndex) reset(cfg *Config) {
 		ci.proto = cfg.proto
 		ci.rebuildMasks()
 	}
-	if cap(ci.slot) < n {
-		ci.slot = make([]int32, n)
-	} else {
-		ci.slot = ci.slot[:n]
-	}
+	ci.slot = resize(ci.slot, n)
 	if cap(ci.mirror) < n {
 		ci.mirror = make([][]mirrorEntry, n)
 	} else {
@@ -241,13 +241,25 @@ func (ci *ClassIndex) reset(cfg *Config) {
 				ci.pairList[i] = ci.pairList[i][:0]
 			}
 		}
-		if cap(ci.pairSlot) < len(t.pairs) {
-			ci.pairSlot = make([]int32, len(t.pairs))
-		} else {
-			ci.pairSlot = ci.pairSlot[:len(t.pairs)]
+		ci.pairSlot = resize(ci.pairSlot, len(t.pairs))
+		ci.adjPair = resize(ci.adjPair, 2*len(t.pairs))
+		ci.adjOff = resize(ci.adjOff, n+1)
+		// adjOff[u+1] starts as u's row offset and serves as its fill
+		// cursor, ending at the next row's offset. Walking the sorted
+		// pairs visits each node's lower neighbors, then its higher
+		// ones, both ascending — exactly the adjacency rows' order.
+		ci.adjOff[0] = 0
+		off := int32(0)
+		for u, row := range t.adj {
+			ci.adjOff[u+1] = off
+			off += int32(len(row))
 		}
 		for i, p := range t.pairs {
 			u, v := int(p>>32), int(p&0xffffffff)
+			ci.adjPair[ci.adjOff[u+1]] = int32(i)
+			ci.adjOff[u+1]++
+			ci.adjPair[ci.adjOff[v+1]] = int32(i)
+			ci.adjOff[v+1]++
 			ci.addPair(int32(i), ci.classID(cfg.nodes[u], cfg.nodes[v]))
 		}
 	}
@@ -262,6 +274,15 @@ func (ci *ClassIndex) reset(cfg *Config) {
 	// The build's reweighs bump gen; a fresh index starts a fresh
 	// census history.
 	ci.gen = 0
+}
+
+// resize returns s with length n, reusing its backing array when it
+// fits; the contents are left for the caller to overwrite.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
 }
 
 // rebuildMasks caches the protocol's effectiveness bits, the listed
@@ -452,11 +473,11 @@ func (ci *ClassIndex) movePair(pid int32, fromID, toID int) {
 // also have changed) is left to the caller; its pair id is returned,
 // or −1 when skip is not a permitted partner. O(deg_topo(u)).
 func (ci *ClassIndex) movePairsOf(u int, from, to State, skip int) int32 {
-	t := ci.topo
 	nodes := ci.cfg.nodes
+	ids := ci.adjPair[ci.adjOff[u]:ci.adjOff[u+1]]
 	skipped := int32(-1)
-	for j, x := range t.adj[u] {
-		pid := t.adjPair[u][j]
+	for j, x := range ci.topo.adj[u] {
+		pid := ids[j]
 		if int(x) == skip {
 			skipped = pid
 			continue

@@ -94,10 +94,13 @@ type Options struct {
 	// Engine selects the execution path. The default EngineAuto uses,
 	// under the uniform scheduler, the fast enabled-pair-index engine
 	// for populations up to 4096 (the index costs Θ(n²) memory) and
-	// the sparse state-class engine — O(n + m) memory — above that, up
-	// to 2²⁰ nodes; the baseline loop otherwise. EngineBaseline,
-	// EngineFast and EngineSparse force a path (forcing an indexed
-	// path under a non-uniform scheduler is an error).
+	// above that, up to 2²⁰ nodes, the batch engine — or the sparse
+	// state-class engine when an event sink, observer or injector is
+	// attached, since batch would exact-step those runs anyway. Both
+	// cost O(n + m) memory. Above 2²⁰ nodes, and under any other
+	// scheduler, auto runs the baseline loop. EngineBaseline,
+	// EngineFast, EngineSparse and EngineBatch force a path (forcing an
+	// indexed path under a non-uniform scheduler is an error).
 	Engine Engine
 	// Detector defaults to QuiescenceDetector.
 	Detector Detector

@@ -11,13 +11,15 @@ type Engine int
 // Engine values. EngineAuto picks an index-backed path whenever the
 // schedule is the uniform random scheduler (the only schedule whose
 // law the skip-sampling argument covers) — the dense enabled-pair
-// index up to maxAutoIndexNodes, the sparse state-class engine above
-// it — and the baseline loop otherwise; the explicit values force one
-// path, which is how the equivalence suite and the speedup benchmarks
-// pin their subjects down.
+// index up to maxAutoIndexNodes, the batch engine above it (the sparse
+// engine when an event sink, observer or injector is attached), and
+// the baseline loop above maxSparseNodes — and the baseline loop under
+// any other scheduler; the explicit values force one path, which is
+// how the equivalence suite and the speedup benchmarks pin their
+// subjects down.
 const (
-	// EngineAuto lets Run choose: fast (small n) or sparse (large n)
-	// under the uniform scheduler, baseline otherwise.
+	// EngineAuto lets Run choose: fast (n ≤ 4096), batch or sparse
+	// (4096 < n ≤ 2²⁰) under the uniform scheduler, baseline otherwise.
 	EngineAuto Engine = iota
 	// EngineBaseline forces the step-by-step loop that simulates every
 	// scheduler draw individually.
@@ -30,11 +32,10 @@ const (
 	// configured scheduler is not uniform.
 	EngineSparse
 	// EngineBatch forces the batch engine: the sparse engine's census
-	// decomposition plus multivariate bucket plans over census-frozen
-	// stretches and a leaner index (see batch.go). Run errors if the
-	// configured scheduler is not uniform. With an EventSink, Observer
-	// or Injector attached it steps exactly, bit-identical to
-	// EngineSparse.
+	// index plus multivariate bucket plans over census-frozen stretches
+	// (see batch.go). Run errors if the configured scheduler is not
+	// uniform. With an EventSink, Observer or Injector attached it
+	// steps exactly, bit-identical to EngineSparse.
 	EngineBatch
 )
 
@@ -111,11 +112,12 @@ func nextCheck(step, interval int64) int64 {
 }
 
 // pairSampler abstracts the incremental enabled-pair structure behind
-// the indexed engines: the dense PairIndex (fast) and the state-class
-// ClassIndex (sparse). Both answer the enabled counts the quiescence
-// gates need, draw uniformly random enabled pairs, and absorb applied
-// interactions — so runIndexed is the single implementation of the
-// geometric step-skipping law for both.
+// the indexed engines: the dense PairIndex (fast) and the census
+// ClassIndex (sparse, and the batch engine's exact route). Both answer
+// the enabled counts the quiescence gates need, draw uniformly random
+// enabled pairs, and absorb applied interactions — so runIndexed is
+// the single implementation of the geometric step-skipping law for
+// both.
 type pairSampler interface {
 	enabledPairs() int64
 	edgeEnabledPairs() int64

@@ -31,11 +31,13 @@ type Injector interface {
 
 // Mutator applies out-of-band configuration mutations on behalf of an
 // Injector, keeping whatever incremental index the running engine
-// maintains (the fast engine's PairIndex, the sparse engine's
-// ClassIndex) synchronized. Updates are incremental, never rebuilds: a
-// node write costs O(n) on the fast path and O(deg + |Q|) on the
-// sparse path, an edge write O(1) on both; the baseline path carries
-// no index and pays nothing.
+// maintains (the fast engine's PairIndex, or the ClassIndex census of
+// the sparse engine and of the batch engine's exact route, which every
+// injected batch run takes) synchronized. Updates are incremental,
+// never rebuilds: a node write costs O(n) on the fast path and
+// O(deg + |Q|) on the census path, an edge write O(1) on the fast path
+// and at most O(deg) on the census path; the baseline path carries no
+// index and pays nothing.
 type Mutator struct {
 	cfg *Config
 	ix  pairSampler // nil on the baseline path

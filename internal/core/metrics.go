@@ -29,8 +29,9 @@ type Metrics struct {
 	DetectorChecks int64 `json:"detector_checks,omitempty"`
 
 	// IndexBuilds counts full engine-index constructions this run paid
-	// (the O(n²) PairIndex scan or the O(n + m + |Q|²) ClassIndex
-	// build); SnapshotRestores counts the times the workspace's
+	// (the O(n²) PairIndex scan, or the O(n + m + |Q|²) build of the
+	// ClassIndex census behind the sparse and batch engines);
+	// SnapshotRestores counts the times the workspace's
 	// start-state snapshot replaced that scan with memcpys. Baseline
 	// runs carry no index and report zero for both.
 	IndexBuilds      int64 `json:"index_builds,omitempty"`

@@ -32,9 +32,6 @@ type Topology struct {
 	n     int
 	pairs []uint64  // packed u<<32|v with u < v, sorted ascending
 	adj   [][]int32 // per-node permitted neighbors, sorted ascending
-	// adjPair parallels adj: adjPair[u][j] is the index in pairs of
-	// {u, adj[u][j]} — the census index's O(1) pair handle.
-	adjPair [][]int32
 }
 
 // NewTopology builds a Topology whose permitted pairs are exactly the
@@ -59,18 +56,6 @@ func NewTopology(g *graph.Graph) *Topology {
 		t.adj[u] = lst
 	}
 	sort.Slice(t.pairs, func(i, j int) bool { return t.pairs[i] < t.pairs[j] })
-	// Walking the sorted pairs visits each node's lower neighbors, then
-	// its higher ones, both ascending — exactly adj's order.
-	t.adjPair = make([][]int32, n)
-	flat := make([]int32, 2*len(t.pairs))
-	for u, nbrs := range t.adj {
-		t.adjPair[u], flat = flat[:0:len(nbrs)], flat[len(nbrs):]
-	}
-	for i, p := range t.pairs {
-		u, v := int(p>>32), int(p&0xffffffff)
-		t.adjPair[u] = append(t.adjPair[u], int32(i))
-		t.adjPair[v] = append(t.adjPair[v], int32(i))
-	}
 	return t
 }
 
