@@ -208,9 +208,10 @@ const CrashStateName = "dead"
 //
 // This is what makes crash faults compose with every engine through
 // ordinary incremental index updates: a crash is "incident edges off,
-// node state := sink", and both PairIndex and ClassIndex already know
-// how to absorb state writes — pairs touching the sink simply never
-// enable again.
+// node state := sink", and both the fast engine's PairIndex and the
+// ClassIndex census (sparse engine, and the batch engine's exact route
+// that every injected run takes) already know how to absorb state
+// writes — pairs touching the sink simply never enable again.
 func Crashable(p *core.Protocol) (*core.Protocol, core.State, error) {
 	states := append(p.States(), CrashStateName)
 	qout := make([]core.State, 0, p.Size())
