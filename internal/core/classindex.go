@@ -891,7 +891,8 @@ func (ci *ClassIndex) sampleNonEdge(a, b int, rng *RNG) (int, int) {
 		}
 		ci.rejections++
 	}
-	// Exact fallback: pick the t-th non-edge of the class.
+	// Exact fallback: pick the t-th non-edge of the class, whose
+	// non-edge count is its cached weight w0 (the class was drawn by it).
 	ci.fallbacks++
 	t := rng.Int64N(ci.w[2*(a*ci.q+b)])
 	for i := 0; i < len(la); i++ {
